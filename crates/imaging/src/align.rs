@@ -42,7 +42,21 @@ fn bin(v: f32, lo: f32, hi: f32) -> usize {
     (((v - lo) / width * BINS as f32).floor() as i32).clamp(0, BINS as i32 - 1) as usize
 }
 
-/// Mutual information of the overlap of `a` and `b` shifted by `(dy, dz)`.
+/// Per-pixel histogram bin of `img` under its whole-image [`pixel_range`].
+///
+/// Binning is the per-pixel float work of the MI metric (two divides and
+/// a floor); it depends only on the pixel and the image-wide range, never
+/// on the candidate offset, so each registration operand is binned once
+/// and every candidate then reads the same indices. The values are those
+/// [`bin`] returns, so the scores are bit-identical to binning inside the
+/// offset loop (pinned by `blocked_mi_matches_reference_at_every_offset`).
+fn bin_indices(img: &SemImage) -> Vec<u8> {
+    let (lo, hi) = pixel_range(img);
+    img.pixels().iter().map(|&v| bin(v, lo, hi) as u8).collect()
+}
+
+/// Mutual information of the overlap of two `ny × nz` images, given as
+/// [`bin_indices`] rows, with the second shifted by `(dy, dz)`.
 ///
 /// Each image's bin range is derived from its observed intensities instead
 /// of the old fixed [0, 256): low-contrast BSE stacks collapsed into a
@@ -51,26 +65,19 @@ fn bin(v: f32, lo: f32, hi: f32) -> usize {
 /// *whole* image rather than the candidate overlap so the bin edges stay
 /// identical across the offset search — per-overlap edges jitter as
 /// outlier pixels enter and leave the overlap, putting spurious maxima
-/// into the MI surface. Because the ranges are offset-independent, the
-/// caller computes them once per image ([`pixel_range`]) and the offset
-/// search no longer rescans both full images per candidate.
+/// into the MI surface. Because the ranges are offset-independent, so are
+/// the bin indices, and the caller computes them once per image.
 ///
 /// The joint-histogram fill is row-blocked: the overlapping `y` interval
 /// is resolved once per `z` row and the fill then walks two contiguous
-/// `f32` rows, instead of bounds-branching per pixel.
-fn mutual_information(
-    a: &SemImage,
-    b: &SemImage,
-    range_a: (f32, f32),
-    range_b: (f32, f32),
-    dy: i32,
-    dz: i32,
-) -> f64 {
-    let (ny, nz) = a.dims();
-    let mut joint = [[0u32; BINS]; BINS];
+/// index rows, instead of bounds-branching per pixel. It round-robins over
+/// four sub-histograms: most overlap pixels are oxide background and land
+/// in one bin, and a single counter turns that into a chain of dependent
+/// increments. The integer sum of the four is the same joint histogram.
+fn mutual_information(a: &[u8], b: &[u8], ny: usize, nz: usize, dy: i32, dz: i32) -> f64 {
+    let idx = |ia: u8, ib: u8| usize::from(ia) * BINS + usize::from(ib);
+    let mut parts = [[0u32; BINS * BINS]; 4];
     let mut count = 0u32;
-    let (min_a, max_a) = range_a;
-    let (min_b, max_b) = range_b;
     // Overlapping y interval in a's frame: 0 <= y < ny and 0 <= y + dy < ny.
     let y_lo = 0.max(-dy) as usize;
     let y_hi = ny.min((ny as i32 - dy).max(0) as usize);
@@ -79,21 +86,33 @@ fn mutual_information(
         if bz < 0 || bz >= nz as i32 || y_lo >= y_hi {
             continue;
         }
-        let a_row = &a.pixels()[z * ny + y_lo..z * ny + y_hi];
+        let a_row = &a[z * ny + y_lo..z * ny + y_hi];
         let b_base = bz as usize * ny + (y_lo as i32 + dy) as usize;
-        let b_row = &b.pixels()[b_base..b_base + (y_hi - y_lo)];
-        for (&va, &vb) in a_row.iter().zip(b_row) {
-            joint[bin(va, min_a, max_a)][bin(vb, min_b, max_b)] += 1;
+        let b_row = &b[b_base..b_base + (y_hi - y_lo)];
+        let (ca, cb) = (a_row.chunks_exact(4), b_row.chunks_exact(4));
+        let (ra, rb) = (ca.remainder(), cb.remainder());
+        for (qa, qb) in ca.zip(cb) {
+            parts[0][idx(qa[0], qb[0])] += 1;
+            parts[1][idx(qa[1], qb[1])] += 1;
+            parts[2][idx(qa[2], qb[2])] += 1;
+            parts[3][idx(qa[3], qb[3])] += 1;
+        }
+        for (&ia, &ib) in ra.iter().zip(rb) {
+            parts[0][idx(ia, ib)] += 1;
         }
         count += (y_hi - y_lo) as u32;
     }
     if count == 0 {
         return f64::NEG_INFINITY;
     }
+    let mut joint = [0u32; BINS * BINS];
+    for (k, c) in joint.iter_mut().enumerate() {
+        *c = parts[0][k] + parts[1][k] + parts[2][k] + parts[3][k];
+    }
     let n = count as f64;
     let mut pa = [0.0f64; BINS];
     let mut pb = [0.0f64; BINS];
-    for (i, row) in joint.iter().enumerate() {
+    for (i, row) in joint.chunks_exact(BINS).enumerate() {
         for (j, &c) in row.iter().enumerate() {
             let p = c as f64 / n;
             pa[i] += p;
@@ -101,7 +120,7 @@ fn mutual_information(
         }
     }
     let mut mi = 0.0;
-    for (i, row) in joint.iter().enumerate() {
+    for (i, row) in joint.chunks_exact(BINS).enumerate() {
         for (j, &c) in row.iter().enumerate() {
             if c == 0 {
                 continue;
@@ -143,23 +162,23 @@ fn neg_ssd(a: &SemImage, b: &SemImage, dy: i32, dz: i32) -> f64 {
 /// searching `center ± window` in both axes. A small bias towards the
 /// `center` hypothesis suppresses metric jitter on featureless slices.
 /// Returns the winning shift and its similarity score.
+///
+/// `b_bins` are `b`'s [`bin_indices`]: the moving slice is binned once, up
+/// front, by the caller. The template `a` changes every slice, so it is
+/// binned here — once for the whole offset search rather than once per
+/// candidate. Squared difference ignores the bins (one cheap pass each).
 fn register(
     a: &SemImage,
     b: &SemImage,
+    b_bins: &[u8],
     method: AlignMethod,
     window: i32,
     center: (i32, i32),
 ) -> ((i32, i32), f64) {
-    // Hoisted out of the offset search: bin ranges span the whole image,
-    // so they are identical for every candidate offset. Recomputing them
-    // inside `mutual_information` cost two full-image scans per candidate
-    // — O(pixels·window²) redundant work per registered slice.
-    let (range_a, range_b) = match method {
-        AlignMethod::MutualInformation => (pixel_range(a), pixel_range(b)),
-        AlignMethod::SquaredDifference => ((0.0, 0.0), (0.0, 0.0)),
-    };
+    let (ny, nz) = a.dims();
+    let a_bins = bin_indices(a);
     let score_at = |dy: i32, dz: i32| match method {
-        AlignMethod::MutualInformation => mutual_information(a, b, range_a, range_b, dy, dz),
+        AlignMethod::MutualInformation => mutual_information(&a_bins, b_bins, ny, nz, dy, dz),
         AlignMethod::SquaredDifference => neg_ssd(a, b, dy, dz),
     };
     let score_c = score_at(center.0, center.1);
@@ -224,18 +243,22 @@ pub fn align_with<R: Recorder>(
         return corrections;
     }
     let background = stack.slice(0).median();
-    let originals: Vec<SemImage> = stack.slices().to_vec();
-    // The registration-only median prefilter is independent per slice.
-    let filtered: Vec<SemImage> = rayon::par_map(&originals, crate::denoise::median3x3);
-    let (ny, nz) = filtered[0].dims();
-    let mut template = filtered[0].clone();
+    // The registration-only median prefilter is independent per slice, and
+    // so are the moving slices' MI bin indices: their ranges never change.
+    let filtered: Vec<(SemImage, Vec<u8>)> = rayon::par_map(stack.slices(), |s| {
+        let f = crate::denoise::median3x3(s);
+        let bins = bin_indices(&f);
+        (f, bins)
+    });
+    let mut template = filtered[0].0.clone();
     // Search around the previous slice's drift estimate: per-step drift is
     // small even when the accumulated drift exceeds the window.
     let mut prev_drift = (0i32, 0i32);
     const EMA: f32 = 0.15;
-    for i in 1..n {
+    for (i, (moving, moving_bins)) in filtered.iter().enumerate().skip(1) {
         let t0 = rec.enabled().then(Instant::now);
-        let ((dy, dz), score) = register(&template, &filtered[i], method, window, prev_drift);
+        let ((dy, dz), score) =
+            register(&template, moving, moving_bins, method, window, prev_drift);
         if rec.enabled() {
             rec.gauge("align.slice_score", score);
             rec.gauge("align.slice_shift_px", ((dy * dy + dz * dz) as f64).sqrt());
@@ -250,14 +273,12 @@ pub fn align_with<R: Recorder>(
             rec.histogram(names::HIST_ALIGN_SEARCH_ITERS, iters);
         }
         corrections[i] = (-dy, -dz);
-        stack.slices_mut()[i] = originals[i].shifted(-dy, -dz, background);
+        let slice = &mut stack.slices_mut()[i];
+        *slice = slice.shifted(-dy, -dz, background);
         // Fold the corrected (filtered) slice into the template.
-        let corrected_f = filtered[i].shifted(-dy, -dz, background);
-        for z in 0..nz {
-            for y in 0..ny {
-                let t = template.get(y, z);
-                template.set(y, z, t * (1.0 - EMA) + corrected_f.get(y, z) * EMA);
-            }
+        let corrected_f = moving.shifted(-dy, -dz, background);
+        for (t, &c) in template.pixels_mut().iter_mut().zip(corrected_f.pixels()) {
+            *t = *t * (1.0 - EMA) + c * EMA;
         }
         prev_drift = (dy, dz);
     }
@@ -291,6 +312,19 @@ mod tests {
             seed: method_seed,
             ..ImagingConfig::default()
         }
+    }
+
+    /// `register` by mutual information around `(0, 0)`, binning `b` first.
+    fn register_mi(a: &SemImage, b: &SemImage, window: i32) -> ((i32, i32), f64) {
+        let b_bins = bin_indices(b);
+        register(
+            a,
+            b,
+            &b_bins,
+            AlignMethod::MutualInformation,
+            window,
+            (0, 0),
+        )
     }
 
     /// Runs alignment against a drifted acquisition and returns the mean
@@ -361,7 +395,7 @@ mod tests {
         let a = stack.slice(3).clone();
         let mut b = a.shifted(2, 1, a.median());
         b.add_offset(4.0); // within the same intensity bin: MI unaffected
-        let ((dy, dz), score) = register(&a, &b, AlignMethod::MutualInformation, 4, (0, 0));
+        let ((dy, dz), score) = register_mi(&a, &b, 4);
         assert_eq!((dy, dz), (2, 1));
         assert!(score.is_finite());
     }
@@ -387,7 +421,7 @@ mod tests {
             *p = 100.0 + (*p - lo) / (hi - lo) * 8.0;
         }
         let b = a.shifted(2, 1, a.median());
-        let ((dy, dz), score) = register(&a, &b, AlignMethod::MutualInformation, 4, (0, 0));
+        let ((dy, dz), score) = register_mi(&a, &b, 4);
         assert_eq!((dy, dz), (2, 1));
         assert!(score.is_finite());
     }
@@ -397,14 +431,15 @@ mod tests {
         // Degenerate case for range-adaptive binning: zero intensity range.
         let a = crate::sem::SemImage::filled(8, 8, 42.0);
         let b = crate::sem::SemImage::filled(8, 8, 42.0);
-        let ((dy, dz), score) = register(&a, &b, AlignMethod::MutualInformation, 2, (0, 0));
+        let ((dy, dz), score) = register_mi(&a, &b, 2);
         assert_eq!((dy, dz), (0, 0));
         assert!(score.is_finite() || score == f64::NEG_INFINITY);
     }
 
     /// The original MI kernel, kept verbatim as the scalar reference: it
-    /// recomputes both images' ranges per call and bounds-branches per
-    /// pixel instead of row-blocking the histogram fill.
+    /// recomputes both images' ranges per call, bins every pixel in float
+    /// per call, and bounds-branches per pixel instead of row-blocking the
+    /// histogram fill.
     fn mutual_information_reference(a: &SemImage, b: &SemImage, dy: i32, dz: i32) -> f64 {
         const BINS: usize = 32;
         let (ny, nz) = a.dims();
@@ -467,15 +502,15 @@ mod tests {
         mi
     }
 
-    /// Regression test for the hoisted-range, row-blocked MI kernel: every
-    /// candidate offset (including fully and partially out-of-frame ones)
-    /// must score bit-identically to the per-offset-recompute reference.
-    #[test]
-    fn blocked_mi_matches_reference_at_every_offset() {
-        let v = structured_volume();
-        let (stack, _) = acquire(&v, &drifted_config(13));
-        let a = stack.slice(2);
-        let b = stack.slice(3);
+    /// Scores `(a, b)` through the production path — each image binned
+    /// once, then the index kernel — at offset `(dy, dz)`.
+    fn index_mi(a: &SemImage, b: &SemImage, dy: i32, dz: i32) -> f64 {
+        let (ny, nz) = a.dims();
+        mutual_information(&bin_indices(a), &bin_indices(b), ny, nz, dy, dz)
+    }
+
+    /// Every offset of the ±5 square plus fully out-of-frame ones.
+    fn offsets_for(a: &SemImage) -> Vec<(i32, i32)> {
         let (ny, nz) = a.dims();
         let big = ny.max(nz) as i32;
         let mut offsets: Vec<(i32, i32)> = Vec::new();
@@ -486,23 +521,57 @@ mod tests {
         }
         // Degenerate overlaps: entire rows/columns out of frame.
         offsets.extend([(big, 0), (0, big), (-big, -big), (big - 1, 1 - big)]);
-        let (range_a, range_b) = (pixel_range(a), pixel_range(b));
-        for (dy, dz) in offsets {
-            let got = mutual_information(a, b, range_a, range_b, dy, dz);
+        offsets
+    }
+
+    fn assert_matches_reference(a: &SemImage, b: &SemImage, what: &str) {
+        for (dy, dz) in offsets_for(a) {
+            let got = index_mi(a, b, dy, dz);
             let want = mutual_information_reference(a, b, dy, dz);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "offset ({dy}, {dz}): {got} vs {want}"
+                "{what} offset ({dy}, {dz}): {got} vs {want}"
             );
         }
-        // Constant images: the degenerate single-bin path.
+    }
+
+    /// Regression test for the precomputed-index, row-blocked MI kernel:
+    /// every candidate offset (including fully and partially out-of-frame
+    /// ones) must score bit-identically to the per-pixel float-binning
+    /// reference, on textured, constant and NaN-bearing images.
+    #[test]
+    fn blocked_mi_matches_reference_at_every_offset() {
+        let v = structured_volume();
+        let (stack, _) = acquire(&v, &drifted_config(13));
+        let a = stack.slice(2);
+        let b = stack.slice(3);
+        assert_matches_reference(a, b, "textured");
+        // Constant images: the degenerate single-bin path, also against a
+        // textured partner.
         let ca = SemImage::filled(8, 8, 42.0);
-        let got = mutual_information(&ca, &ca, pixel_range(&ca), pixel_range(&ca), 1, -2);
-        assert_eq!(
-            got.to_bits(),
-            mutual_information_reference(&ca, &ca, 1, -2).to_bits()
-        );
+        assert_matches_reference(&ca, &ca, "constant");
+        let (ny, nz) = a.dims();
+        let cb = SemImage::filled(ny, nz, -3.5);
+        assert_matches_reference(a, &cb, "textured vs constant");
+        assert_matches_reference(&cb, a, "constant vs textured");
+        // NaN pixels: ignored by the range, binned to 0 by the saturating
+        // cast. An all-NaN image has a NaN width and degenerates to bin 0.
+        let mut na = a.clone();
+        let mut nb = b.clone();
+        for (k, p) in na.pixels_mut().iter_mut().enumerate() {
+            if k % 7 == 3 {
+                *p = f32::NAN;
+            }
+        }
+        for (k, p) in nb.pixels_mut().iter_mut().enumerate() {
+            if k % 11 == 0 {
+                *p = -f32::NAN;
+            }
+        }
+        assert_matches_reference(&na, &nb, "NaN-bearing");
+        let all_nan = SemImage::filled(ny, nz, f32::NAN);
+        assert_matches_reference(&all_nan, b, "all-NaN vs textured");
     }
 
     /// Full alignment is bit-identical at 1, 2 and 8 threads with the

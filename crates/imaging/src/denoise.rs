@@ -146,30 +146,121 @@ pub fn chambolle_tv_with(
 /// small bright features (the SA region's wires are only 2–4 pixels wide in
 /// cross-section), while suppressing shot noise by ≈3×. Borders use the
 /// clamped neighbourhood.
+///
+/// The filter emits an order statistic under `f32::total_cmp`, not an
+/// averaged median: only values present in the neighbourhood come out,
+/// and a stray NaN pixel (ordered last) cannot abort the run. Interior
+/// pixels take the 5th of their 9 values through a median-of-9
+/// compare-exchange network ([`median9`]) on `total_cmp`'s integer keys;
+/// border pixels, with 4 or 6 neighbours, sort their clamped window. Both
+/// paths give the same bits: `total_cmp` is a total order in which
+/// distinct bit patterns never compare equal, so the k-th order statistic
+/// of a window is one unique bit pattern however it is selected.
 pub fn median3x3(image: &SemImage) -> SemImage {
     let (ny, nz) = image.dims();
     let mut out = image.clone();
+    let interior = ny >= 3 && nz >= 3;
+    if interior {
+        let keys: Vec<i32> = image.pixels().iter().map(|&v| order_key(v)).collect();
+        let pixels = out.pixels_mut();
+        for z in 1..nz - 1 {
+            let r0 = &keys[(z - 1) * ny..z * ny];
+            let r1 = &keys[z * ny..(z + 1) * ny];
+            let r2 = &keys[(z + 1) * ny..(z + 2) * ny];
+            let row = &mut pixels[z * ny..(z + 1) * ny];
+            for y in 1..ny - 1 {
+                row[y] = from_order_key(median9([
+                    r0[y - 1],
+                    r0[y],
+                    r0[y + 1],
+                    r1[y - 1],
+                    r1[y],
+                    r1[y + 1],
+                    r2[y - 1],
+                    r2[y],
+                    r2[y + 1],
+                ]));
+            }
+        }
+    }
     let mut window = [0.0f32; 9];
-    for z in 0..nz {
-        for y in 0..ny {
-            let mut n = 0;
-            for dz in -1i32..=1 {
-                for dy in -1i32..=1 {
-                    let (py, pz) = (y as i32 + dy, z as i32 + dz);
-                    if py >= 0 && py < ny as i32 && pz >= 0 && pz < nz as i32 {
-                        window[n] = image.get(py as usize, pz as usize);
-                        n += 1;
-                    }
+    let mut border = |y: usize, z: usize| {
+        let mut n = 0;
+        for dz in -1i32..=1 {
+            for dy in -1i32..=1 {
+                let (py, pz) = (y as i32 + dy, z as i32 + dz);
+                if py >= 0 && py < ny as i32 && pz >= 0 && pz < nz as i32 {
+                    window[n] = image.get(py as usize, pz as usize);
+                    n += 1;
                 }
             }
-            // An order statistic, not the true median: the filter must
-            // only emit values present in the neighbourhood. `total_cmp`
-            // keeps a stray NaN pixel (sorted last) from aborting the run.
-            window[..n].sort_by(f32::total_cmp);
-            out.set(y, z, window[n / 2]);
+        }
+        window[..n].sort_by(f32::total_cmp);
+        window[n / 2]
+    };
+    for z in 0..nz {
+        if interior && z > 0 && z + 1 < nz {
+            out.set(0, z, border(0, z));
+            out.set(ny - 1, z, border(ny - 1, z));
+        } else {
+            for y in 0..ny {
+                out.set(y, z, border(y, z));
+            }
         }
     }
     out
+}
+
+/// `f32::total_cmp`'s sort key: the bits as `i32` with the magnitude bits
+/// of negative values flipped, so integer order is `total_cmp` order.
+#[inline(always)]
+fn order_key(v: f32) -> i32 {
+    flip_negative(v.to_bits() as i32)
+}
+
+/// Inverse of [`order_key`].
+#[inline(always)]
+fn from_order_key(key: i32) -> f32 {
+    f32::from_bits(flip_negative(key) as u32)
+}
+
+/// Flips the 31 magnitude bits when the sign bit is set: an involution
+/// that keeps the sign bit, so it both makes and undoes the key.
+#[inline(always)]
+fn flip_negative(bits: i32) -> i32 {
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The 5th smallest of nine keys: the 19 compare-exchange median-of-9
+/// network (Paeth; Devillard's `opt_med9`), with integer min/max.
+#[inline(always)]
+fn median9(mut p: [i32; 9]) -> i32 {
+    #[inline(always)]
+    fn cx(p: &mut [i32; 9], a: usize, b: usize) {
+        let (x, y) = (p[a], p[b]);
+        p[a] = x.min(y);
+        p[b] = x.max(y);
+    }
+    cx(&mut p, 1, 2);
+    cx(&mut p, 4, 5);
+    cx(&mut p, 7, 8);
+    cx(&mut p, 0, 1);
+    cx(&mut p, 3, 4);
+    cx(&mut p, 6, 7);
+    cx(&mut p, 1, 2);
+    cx(&mut p, 4, 5);
+    cx(&mut p, 7, 8);
+    cx(&mut p, 0, 3);
+    cx(&mut p, 5, 8);
+    cx(&mut p, 4, 7);
+    cx(&mut p, 3, 6);
+    cx(&mut p, 1, 4);
+    cx(&mut p, 2, 5);
+    cx(&mut p, 4, 7);
+    cx(&mut p, 4, 2);
+    cx(&mut p, 6, 4);
+    cx(&mut p, 4, 2);
+    p[4]
 }
 
 /// Denoises every slice of a stack in place with Chambolle TV. Keep `lambda`
@@ -429,5 +520,127 @@ mod tests {
     fn non_positive_lambda_rejected() {
         let img = SemImage::filled(4, 4, 0.0);
         let _ = chambolle_tv(&img, 0.0, 5);
+    }
+
+    /// The original median filter, kept verbatim as the reference for the
+    /// network path: every pixel sorts its clamped window.
+    fn median3x3_reference(image: &SemImage) -> SemImage {
+        let (ny, nz) = image.dims();
+        let mut out = image.clone();
+        let mut window = [0.0f32; 9];
+        for z in 0..nz {
+            for y in 0..ny {
+                let mut n = 0;
+                for dz in -1i32..=1 {
+                    for dy in -1i32..=1 {
+                        let (py, pz) = (y as i32 + dy, z as i32 + dz);
+                        if py >= 0 && py < ny as i32 && pz >= 0 && pz < nz as i32 {
+                            window[n] = image.get(py as usize, pz as usize);
+                            n += 1;
+                        }
+                    }
+                }
+                window[..n].sort_by(f32::total_cmp);
+                out.set(y, z, window[n / 2]);
+            }
+        }
+        out
+    }
+
+    /// A random image over a palette heavy in ties and special values:
+    /// NaNs of both signs and two payloads, ±0.0, ±inf, and a few small
+    /// integers, mixed with uniform noise.
+    fn adversarial_image(ny: usize, nz: usize, seed: u64) -> SemImage {
+        let palette = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            2.0,
+            -1.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut img = SemImage::filled(ny, nz, 0.0);
+        for p in img.pixels_mut() {
+            *p = if rng.gen_bool(0.6) {
+                palette[rng.gen_range(0..palette.len())]
+            } else {
+                rng.gen_range(-100.0f32..100.0)
+            };
+        }
+        img
+    }
+
+    #[test]
+    fn median_network_matches_sort_reference() {
+        let shapes = [
+            (1, 1),
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (3, 3),
+            (2, 7),
+            (7, 2),
+            (4, 5),
+            (167, 121),
+        ];
+        for (k, &(ny, nz)) in shapes.iter().enumerate() {
+            for seed in 0..4u64 {
+                let img = adversarial_image(ny, nz, seed * 31 + k as u64);
+                assert_bits_equal(
+                    &median3x3(&img),
+                    &median3x3_reference(&img),
+                    &format!("median3x3 {ny}x{nz} seed {seed}"),
+                );
+            }
+        }
+        // A noisy SEM-like image, where the interior path dominates.
+        let (noisy, _) = noisy_step(6.0, 3);
+        assert_bits_equal(&median3x3(&noisy), &median3x3_reference(&noisy), "noisy");
+    }
+
+    /// 0-1 principle: a comparator network selects the median of every
+    /// input iff it does so for every 0/1 input, so checking all 2⁹ binary
+    /// windows proves the network.
+    #[test]
+    fn median9_network_is_a_median_selector() {
+        for mask in 0u32..512 {
+            let mut p = [0i32; 9];
+            for (i, v) in p.iter_mut().enumerate() {
+                *v = ((mask >> i) & 1) as i32;
+            }
+            let ones = mask.count_ones();
+            assert_eq!(median9(p), i32::from(ones >= 5), "mask {mask:09b}");
+        }
+    }
+
+    #[test]
+    fn order_key_is_total_cmp_order() {
+        let values = [
+            f32::NEG_INFINITY,
+            -f32::NAN,
+            -1.5,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.5,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+        ];
+        for &a in &values {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 }

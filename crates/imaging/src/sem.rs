@@ -269,7 +269,7 @@ impl ImageStack {
         if self.slices.is_empty() {
             return;
         }
-        let medians: Vec<f32> = self.slices.iter().map(SemImage::median).collect();
+        let medians: Vec<f32> = rayon::par_map(&self.slices, SemImage::median);
         let target = median_of(medians.clone());
         for (s, m) in self.slices.iter_mut().zip(medians) {
             s.add_offset(target - m);
@@ -288,17 +288,28 @@ pub struct DriftTruth {
 
 /// True median of a sample: mean of the two middle values when the length
 /// is even, `0.0` when empty. `total_cmp` keeps a stray NaN pixel from
-/// aborting the sort (NaNs order last).
+/// aborting the selection (NaNs order last).
+///
+/// A selection, not a sort: `select_nth_unstable_by` puts the upper middle
+/// value at `mid` with everything below it in `v[..mid]`, whose maximum is
+/// the lower middle value. Under `total_cmp` distinct bit patterns never
+/// compare equal, so both are the exact bits a full sort would put there.
 fn median_of(mut v: Vec<f32>) -> f32 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_by(f32::total_cmp);
+    let even = v.len().is_multiple_of(2);
     let mid = v.len() / 2;
-    if v.len().is_multiple_of(2) {
-        (v[mid - 1] + v[mid]) / 2.0
+    let (lower, &mut upper, _) = v.select_nth_unstable_by(mid, f32::total_cmp);
+    if even {
+        let below = lower
+            .iter()
+            .copied()
+            .max_by(f32::total_cmp)
+            .expect("an even, non-empty sample has a lower half");
+        (below + upper) / 2.0
     } else {
-        v[mid]
+        upper
     }
 }
 
@@ -1159,6 +1170,58 @@ mod tests {
         assert_eq!(odd.median(), 5.0);
         let empty = SemImage::filled(0, 0, 0.0);
         assert_eq!(empty.median(), 0.0);
+    }
+
+    /// The sort-based median the selection replaced, kept as its oracle.
+    fn median_of_reference(mut v: Vec<f32>) -> f32 {
+        if v.is_empty() {
+            return 0.0;
+        }
+        v.sort_by(f32::total_cmp);
+        let mid = v.len() / 2;
+        if v.len().is_multiple_of(2) {
+            (v[mid - 1] + v[mid]) / 2.0
+        } else {
+            v[mid]
+        }
+    }
+
+    #[test]
+    fn selection_median_matches_sort_at_every_length() {
+        let palette = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -2.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in (1..=40).chain([999, 1000, 4096, 4097]) {
+            for _ in 0..8 {
+                let v: Vec<f32> = (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            palette[rng.gen_range(0..palette.len())]
+                        } else {
+                            rng.gen_range(-50.0f32..50.0)
+                        }
+                    })
+                    .collect();
+                let got = median_of(v.clone());
+                let want = median_of_reference(v);
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len}: {got} vs {want}");
+            }
+        }
+        // ±0.0 is a tie under `==` but not under `total_cmp`: the lower
+        // middle of [+0, -0] is -0, and their mean is +0.
+        assert_eq!(median_of(vec![0.0, -0.0]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(
+            median_of(vec![0.0, -0.0, -0.0]).to_bits(),
+            (-0.0f32).to_bits()
+        );
     }
 
     #[test]
