@@ -13,9 +13,8 @@ use hifi_data::Chip;
 use hifi_extract::{measure, ExtractError, Extraction, MeasurementConfidence, MeasurementReport};
 use hifi_faults::{Exhausted, FaultPlan, FaultSpec, RetryError, RetryPolicy, VirtualClock};
 use hifi_imaging::{
-    acquire_profiled, acquire_tiled_profiled, acquire_with_recovery_profiled,
-    acquire_with_recovery_tiled_profiled, align_with, denoise_profiled, metrics, reconstruct,
-    reconstruct_tiled, render_ideal_profiled, AcquireOutcome, AlignMethod, ImagingConfig,
+    acquire_with, align_with, denoise_profiled, metrics, reconstruct, render_ideal, AlignMethod,
+    ImagingConfig,
 };
 use hifi_store::fingerprint::salts;
 use hifi_store::{
@@ -140,13 +139,6 @@ pub struct PipelineConfig {
     pub faults: Option<FaultSpec>,
     /// How transient failures (injected or environmental) are retried.
     pub retry: RetryPolicy,
-    /// Streaming tile width (x-voxel columns per slab) for the volume
-    /// stages; `None` runs them monolithically. Tiling is a pure execution
-    /// knob: voxelize, acquire and reconstruct stream the die one slab at
-    /// a time with O(tile) working memory but produce bit-identical
-    /// artifacts, so it deliberately does **not** enter store fingerprints
-    /// — tiled and monolithic runs share cache entries.
-    pub tile_x: Option<usize>,
 }
 
 impl PipelineConfig {
@@ -163,20 +155,7 @@ impl PipelineConfig {
             store_handle: None,
             faults: None,
             retry: RetryPolicy::default(),
-            tile_x: None,
         }
-    }
-
-    /// Streams the volume stages in x-slabs of `tile_x` voxel columns
-    /// (builder style). Outputs stay bit-identical to the monolithic run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_x` is zero.
-    pub fn with_tiling(mut self, tile_x: usize) -> Self {
-        assert!(tile_x > 0, "tile must span at least one voxel column");
-        self.tile_x = Some(tile_x);
-        self
     }
 
     /// Enables the artifact store rooted at `path` for this pipeline.
@@ -484,10 +463,7 @@ impl Pipeline {
             Some(v) => v,
             None => {
                 let v = guarded(&ctx, "voxelize", || {
-                    with_span(rec, "voxelize", |_| match cfg.tile_x {
-                        Some(t) => region.voxelize_tiled(t),
-                        None => region.voxelize(),
-                    })
+                    with_span(rec, "voxelize", |_| region.voxelize())
                 })?;
                 persist(&store, &ctx, rec, vox_key, "voxelize", || {
                     codec::encode_volume(&v)
@@ -513,44 +489,9 @@ impl Pipeline {
                 )? {
                     Some(triple) => triple,
                     None => {
+                        let faults = ctx.plan.as_deref().map(|p| (p, &ctx.policy, &ctx.clock));
                         let outcome = with_span(rec, "acquire", |_| {
-                            match (ctx.plan.as_deref(), cfg.tile_x) {
-                                (Some(plan), Some(t)) => acquire_with_recovery_tiled_profiled(
-                                    &pristine,
-                                    imaging_cfg,
-                                    plan,
-                                    &ctx.policy,
-                                    &ctx.clock,
-                                    t,
-                                    lanes.as_ref(),
-                                ),
-                                (Some(plan), None) => acquire_with_recovery_profiled(
-                                    &pristine,
-                                    imaging_cfg,
-                                    plan,
-                                    &ctx.policy,
-                                    &ctx.clock,
-                                    lanes.as_ref(),
-                                ),
-                                (None, tile) => {
-                                    let (stack, truth) = match tile {
-                                        Some(t) => acquire_tiled_profiled(
-                                            &pristine,
-                                            imaging_cfg,
-                                            t,
-                                            lanes.as_ref(),
-                                        ),
-                                        None => {
-                                            acquire_profiled(&pristine, imaging_cfg, lanes.as_ref())
-                                        }
-                                    };
-                                    AcquireOutcome {
-                                        stack,
-                                        truth,
-                                        degraded_slices: Vec::new(),
-                                    }
-                                }
-                            }
+                            acquire_with(&pristine, imaging_cfg, faults, lanes.as_ref())
                         });
                         persist(&store, &ctx, rec, acq_key, "acquire", || {
                             codec::encode_acquisition(
@@ -565,7 +506,7 @@ impl Pipeline {
                 // Fidelity baseline: mean per-slice PSNR of the raw
                 // acquisition against what a perfect microscope would see.
                 let ideal = if rec.enabled() {
-                    let ideal = render_ideal_profiled(&pristine, imaging_cfg, lanes.as_ref());
+                    let ideal = render_ideal(&pristine, imaging_cfg, lanes.as_ref());
                     rec.gauge(names::PSNR_NOISY, mean_stack_psnr(&stack, &ideal));
                     Some(ideal)
                 } else {
@@ -630,16 +571,7 @@ impl Pipeline {
                     Some(v) => v,
                     None => {
                         let v = guarded(&ctx, "reconstruct", || {
-                            with_span(rec, "reconstruct", |_| match cfg.tile_x {
-                                // A tile of `tile_x` voxel columns holds
-                                // `tile_x / slice_voxels` slices' worth of
-                                // reconstructed planes.
-                                Some(t) => {
-                                    let step = imaging_cfg.slice_voxels.max(1);
-                                    reconstruct_tiled(&stack, (t / step).max(1))
-                                }
-                                None => reconstruct(&stack),
-                            })
+                            with_span(rec, "reconstruct", |_| reconstruct(&stack))
                         })?;
                         persist(&store, &ctx, rec, recon_key, "reconstruct", || {
                             codec::encode_volume(&v)

@@ -8,13 +8,21 @@
 //!
 //! - [`acquire`] — slices a [`hifi_synth::MaterialVolume`] like a Ga-FIB and
 //!   renders SE/BSE images with shot noise, cumulative stage drift and
-//!   brightness wander,
+//!   brightness wander ([`acquire_with`] adds an optional fault plan with
+//!   retries and per-slice lane profiling),
 //! - [`denoise`] — Chambolle total-variation denoising (the same algorithm
 //!   family the paper runs in Dragonfly),
 //! - [`align`] — mutual-information rigid slice alignment, each slice against
 //!   the previous one, exactly as described in Section IV-C,
 //! - [`reconstruct`] — re-assembles the processed stack into a material
 //!   volume for the extractor, completing the cross-section → planar pivot.
+//!
+//! Each stage has one implementation, whether it runs over a whole SA
+//! region or streams a full die. For O(tile) memory a caller walks the die
+//! in x-slabs: [`AcquirePlan`] schedules every slice from the die
+//! dimensions alone and renders each one from the slab that holds it,
+//! bit-identically to [`acquire`], and [`reconstruct`] of each slab's
+//! sub-stack equals the matching x-range of the full reconstruction.
 //!
 //! # Examples
 //!
@@ -40,10 +48,8 @@ pub use denoise::{
     average_slices, chambolle_tv, chambolle_tv_with, denoise, denoise_profiled, median3x3,
     TvScratch,
 };
-pub use reconstruct::{classify_pixel, reconstruct, reconstruct_slab, reconstruct_tiled};
+pub use reconstruct::{classify_pixel, reconstruct};
 pub use sem::{
-    acquire, acquire_profiled, acquire_tiled, acquire_tiled_profiled, acquire_with_recovery,
-    acquire_with_recovery_profiled, acquire_with_recovery_tiled_profiled, render_ideal,
-    render_ideal_profiled, AcquireOutcome, AcquirePlan, DetectorKind, DriftTruth, ImageStack,
-    ImagingConfig, SemImage,
+    acquire, acquire_with, render_ideal, AcquireOutcome, AcquirePlan, DetectorKind, DriftTruth,
+    ImageStack, ImagingConfig, SemImage,
 };

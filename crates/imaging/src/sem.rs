@@ -391,15 +391,11 @@ fn render_cross_section(volume: &MaterialVolume, x: usize, cfg: &ImagingConfig) 
 /// same slicing, framing and material contrast as [`acquire`] with no
 /// noise, drift or brightness wander. Ground-truth reference for fidelity
 /// metrics (PSNR of an acquired or denoised stack is measured against it).
-pub fn render_ideal(volume: &MaterialVolume, cfg: &ImagingConfig) -> ImageStack {
-    render_ideal_profiled(volume, cfg, None)
-}
-
-/// [`render_ideal`] with optional per-slice lane profiling: when `lanes`
-/// is set, every slice render is timed as a `render.slice` span on the
-/// worker lane that executed it. Rendering itself is unchanged — the
-/// profiler observes, it never reorders.
-pub fn render_ideal_profiled(
+///
+/// When `lanes` is set, every slice render is timed as a `render.slice`
+/// span on the worker lane that executed it. Rendering itself is
+/// unchanged — the profiler observes, it never reorders.
+pub fn render_ideal(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
     lanes: Option<&LaneProfiler>,
@@ -432,10 +428,10 @@ struct SliceArtefacts {
 
 /// The sequential artefact schedule of an acquisition: per-slice drift,
 /// brightness and noise-RNG snapshots, derived from the die *dimensions*
-/// alone. This is what lets tiled acquisition stream a full-die volume
-/// slab by slab while staying bit-identical to a monolithic run — the
-/// schedule is O(slices) in memory, independent of the voxel payload, and
-/// any slice can then be rendered from whichever x-slab contains it.
+/// alone. This is what lets a streaming consumer render a full-die volume
+/// slab by slab while staying bit-identical to [`acquire`] — the schedule
+/// is O(slices) in memory, independent of the voxel payload, and any slice
+/// can then be rendered from whichever x-slab contains it.
 pub struct AcquirePlan {
     artefacts: Vec<SliceArtefacts>,
     truth: DriftTruth,
@@ -444,8 +440,8 @@ pub struct AcquirePlan {
 
 impl AcquirePlan {
     /// Builds the schedule for a die of `(nx, ny, nz)` voxels. Walks the
-    /// single sequential RNG stream exactly as a monolithic acquisition
-    /// would (see [`skip_gaussians`]).
+    /// single sequential RNG stream exactly as [`acquire`] does (see
+    /// [`skip_gaussians`]).
     pub fn for_dims(nx: usize, ny: usize, nz: usize, cfg: &ImagingConfig) -> Self {
         let step = cfg.slice_voxels.max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -563,83 +559,8 @@ impl AcquirePlan {
 /// Returns the stack and the ground-truth artefacts (for validation only —
 /// the post-processing never sees them).
 pub fn acquire(volume: &MaterialVolume, cfg: &ImagingConfig) -> (ImageStack, DriftTruth) {
-    acquire_profiled(volume, cfg, None)
-}
-
-/// [`acquire`] with optional per-slice lane profiling: when `lanes` is
-/// set, every slice acquisition is timed as an `acquire.slice` span on
-/// the worker lane that executed it.
-pub fn acquire_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    acquire_inner(volume, cfg, None, lanes)
-}
-
-/// [`acquire`] in streaming-tiled mode: the volume is walked in x-slabs of
-/// `tile_x` voxel columns (one slab buffer reused across tiles) and each
-/// slab's slices are rendered in parallel. Bit-identical to the monolithic
-/// path at any thread count — the artefact schedule is shared and every
-/// slice reads only its own voxel column.
-pub fn acquire_tiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: usize,
-) -> (ImageStack, DriftTruth) {
-    acquire_tiled_profiled(volume, cfg, tile_x, None)
-}
-
-/// [`acquire_tiled`] with optional per-slice lane profiling.
-pub fn acquire_tiled_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: usize,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    acquire_inner(volume, cfg, Some(tile_x), lanes)
-}
-
-fn acquire_inner(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    tile_x: Option<usize>,
-    lanes: Option<&LaneProfiler>,
-) -> (ImageStack, DriftTruth) {
-    let plan = AcquirePlan::for_volume(volume, cfg);
-    let render_one = |src: &MaterialVolume, x0: usize, i: usize| match lanes {
-        Some(l) => l.time(
-            "acquire.slice",
-            rayon::current_thread_index() as u32,
-            || plan.render(src, x0, i, cfg),
-        ),
-        None => plan.render(src, x0, i, cfg),
-    };
-    // Parallel render pass: every slice renders, shifts and replays its
-    // noise draws independently.
-    let mut slices: Vec<SemImage> = Vec::with_capacity(plan.len());
-    match tile_x {
-        None => {
-            let indices: Vec<usize> = (0..plan.len()).collect();
-            slices = rayon::par_map(&indices, |&i| render_one(volume, 0, i));
-        }
-        Some(t) => volume.for_each_slab_x(t, |slab, x0| {
-            let (slab_nx, _, _) = slab.dims();
-            let indices: Vec<usize> = plan.slices_in_slab(x0, x0 + slab_nx).collect();
-            slices.extend(rayon::par_map(&indices, |&i| render_one(slab, x0, i)));
-        }),
-    }
-    let truth = plan.truth;
-    (
-        ImageStack::from_slices(
-            slices,
-            volume.voxel_nm(),
-            cfg.slice_voxels.max(1),
-            cfg.detector,
-        )
-        .with_frame_margin(cfg.frame_margin_px),
-        truth,
-    )
+    let out = acquire_with(volume, cfg, None, None);
+    (out.stack, out.truth)
 }
 
 /// Renders one acquired slice from its sequentially-derived artefacts:
@@ -665,7 +586,7 @@ fn render_slice_at(
     img
 }
 
-/// Result of a fault-aware acquisition ([`acquire_with_recovery`]).
+/// Result of an acquisition through [`acquire_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcquireOutcome {
     /// The acquired stack; degraded slices are interpolated in place.
@@ -675,132 +596,51 @@ pub struct AcquireOutcome {
     /// acquisitions failed).
     pub truth: DriftTruth,
     /// Slice indices that exhausted their retries and were interpolated
-    /// from neighbours. Empty whenever the plan is recoverable under the
-    /// policy (`policy.max_retries >= spec.max_consecutive`).
+    /// from neighbours. Empty without a fault plan, and whenever the plan
+    /// is recoverable under the policy
+    /// (`policy.max_retries >= spec.max_consecutive`).
     pub degraded_slices: Vec<usize>,
 }
 
-/// [`acquire`] under a fault plan: each slice acquisition consults the
-/// plan and, when a fault is injected, is re-acquired under `policy` with
-/// backoff charged to `clock`. A re-acquired slice replays the same RNG
-/// snapshot, so a recovered stack is **bit-identical** to a clean one at
-/// any thread count. A slice that exhausts its retries is interpolated
-/// from its nearest intact neighbours (mean of both sides, copy of one
-/// side at the stack edges, oxide fill if every slice failed) and flagged
-/// in [`AcquireOutcome::degraded_slices`].
-pub fn acquire_with_recovery(
+/// [`acquire`] with an optional fault plan and optional per-slice lane
+/// profiling.
+///
+/// With `faults` set to `(plan, policy, clock)`, each slice acquisition
+/// consults the plan and, when a fault is injected, is re-acquired under
+/// `policy` with backoff charged to `clock`. A re-acquired slice replays
+/// the same RNG snapshot, so a recovered stack is **bit-identical** to a
+/// clean one at any thread count. A slice that exhausts its retries is
+/// interpolated from its nearest intact neighbours (mean of both sides,
+/// copy of one side at the stack edges, oxide fill if every slice failed)
+/// and flagged in [`AcquireOutcome::degraded_slices`]. With `faults` set
+/// to `None`, every slice renders directly.
+///
+/// When `lanes` is set, each slice's acquisition (retries included) is
+/// timed as an `acquire.slice` span on the worker lane that executed it,
+/// so retried slices show up as long spans.
+pub fn acquire_with(
     volume: &MaterialVolume,
     cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-) -> AcquireOutcome {
-    acquire_with_recovery_profiled(volume, cfg, plan, policy, clock, None)
-}
-
-/// [`acquire_with_recovery`] with optional per-slice lane profiling: each
-/// slice's whole acquire-with-retries is timed as an `acquire.slice` span
-/// on its worker lane, so retried slices show up as long spans.
-pub fn acquire_with_recovery_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    lanes: Option<&LaneProfiler>,
-) -> AcquireOutcome {
-    acquire_with_recovery_inner(volume, cfg, plan, policy, clock, None, lanes)
-}
-
-/// [`acquire_with_recovery`] in streaming-tiled mode (see
-/// [`acquire_tiled`]): fault checks, retries and interpolation are keyed
-/// by global slice index, so the outcome is bit-identical to the
-/// monolithic fault-aware path.
-pub fn acquire_with_recovery_tiled_profiled(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    tile_x: usize,
-    lanes: Option<&LaneProfiler>,
-) -> AcquireOutcome {
-    acquire_with_recovery_inner(volume, cfg, plan, policy, clock, Some(tile_x), lanes)
-}
-
-fn acquire_with_recovery_inner(
-    volume: &MaterialVolume,
-    cfg: &ImagingConfig,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    clock: &VirtualClock,
-    tile_x: Option<usize>,
+    faults: Option<(&FaultPlan, &RetryPolicy, &VirtualClock)>,
     lanes: Option<&LaneProfiler>,
 ) -> AcquireOutcome {
     let aplan = AcquirePlan::for_volume(volume, cfg);
-
-    /// A failed slice acquisition (always transient: the stage position is
-    /// unchanged and the mill schedule already advanced).
-    #[derive(Debug)]
-    struct SliceFault;
-    impl core::fmt::Display for SliceFault {
-        fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            f.write_str("slice acquisition failed")
-        }
-    }
-
-    let acquire_one = |src: &MaterialVolume, x0: usize, i: usize| -> Option<SemImage> {
-        let site = format!("slice:{i}");
-        let outcome = retry(
-            policy,
-            clock,
-            |_: &SliceFault| true,
-            |_attempt| {
-                if plan.check(FaultKind::AcquireSlice, &site) {
-                    Err(SliceFault)
-                } else {
-                    Ok(aplan.render(src, x0, i, cfg))
-                }
-            },
-        );
-        match outcome {
-            Ok((img, retries)) => {
-                if retries > 0 {
-                    plan.record_retried(u64::from(retries));
-                    plan.record_recovered(1);
-                }
-                Some(img)
-            }
-            Err(_) => {
-                // Transient-only error type: the only reachable branch is
-                // an exhausted retry budget.
-                plan.record_retried(u64::from(policy.max_retries));
-                plan.record_degraded(1);
-                None
-            }
-        }
+    let render = |i: usize| aplan.render(volume, 0, i, cfg);
+    let acquire_one = |i: usize| match faults {
+        None => Some(render(i)),
+        Some((plan, policy, clock)) => acquire_with_retries(plan, policy, clock, i, render),
     };
-    let timed_one = |src: &MaterialVolume, x0: usize, i: usize| match lanes {
+    // Parallel render pass: every slice renders, shifts and replays its
+    // noise draws independently.
+    let indices: Vec<usize> = (0..aplan.len()).collect();
+    let mut rendered: Vec<Option<SemImage>> = rayon::par_map(&indices, |&i| match lanes {
         Some(l) => l.time(
             "acquire.slice",
             rayon::current_thread_index() as u32,
-            || acquire_one(src, x0, i),
+            || acquire_one(i),
         ),
-        None => acquire_one(src, x0, i),
-    };
-    let mut rendered: Vec<Option<SemImage>> = Vec::with_capacity(aplan.len());
-    match tile_x {
-        None => {
-            let indices: Vec<usize> = (0..aplan.len()).collect();
-            rendered = rayon::par_map(&indices, |&i| timed_one(volume, 0, i));
-        }
-        Some(t) => volume.for_each_slab_x(t, |slab, x0| {
-            let (slab_nx, _, _) = slab.dims();
-            let indices: Vec<usize> = aplan.slices_in_slab(x0, x0 + slab_nx).collect();
-            rendered.extend(rayon::par_map(&indices, |&i| timed_one(slab, x0, i)));
-        }),
-    }
-    let truth = aplan.truth;
+        None => acquire_one(i),
+    });
 
     let degraded_slices: Vec<usize> = rendered
         .iter()
@@ -830,8 +670,60 @@ fn acquire_with_recovery_inner(
             cfg.detector,
         )
         .with_frame_margin(cfg.frame_margin_px),
-        truth,
+        truth: aplan.truth,
         degraded_slices,
+    }
+}
+
+/// Acquires slice `i` under a fault plan: each attempt consults the plan
+/// at site `slice:{i}` (the global slice index, so retry order cannot
+/// leak into the output) and renders on success. Returns `None` once the
+/// retry budget is exhausted.
+fn acquire_with_retries(
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    clock: &VirtualClock,
+    i: usize,
+    render: impl Fn(usize) -> SemImage,
+) -> Option<SemImage> {
+    /// A failed slice acquisition (always transient: the stage position is
+    /// unchanged and the mill schedule already advanced).
+    #[derive(Debug)]
+    struct SliceFault;
+    impl core::fmt::Display for SliceFault {
+        fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+            f.write_str("slice acquisition failed")
+        }
+    }
+
+    let site = format!("slice:{i}");
+    let outcome = retry(
+        policy,
+        clock,
+        |_: &SliceFault| true,
+        |_attempt| {
+            if plan.check(FaultKind::AcquireSlice, &site) {
+                Err(SliceFault)
+            } else {
+                Ok(render(i))
+            }
+        },
+    );
+    match outcome {
+        Ok((img, retries)) => {
+            if retries > 0 {
+                plan.record_retried(u64::from(retries));
+                plan.record_recovered(1);
+            }
+            Some(img)
+        }
+        Err(_) => {
+            // Transient-only error type: the only reachable branch is an
+            // exhausted retry budget.
+            plan.record_retried(u64::from(policy.max_retries));
+            plan.record_degraded(1);
+            None
+        }
     }
 }
 
@@ -949,50 +841,31 @@ mod tests {
     }
 
     #[test]
-    fn tiled_acquisition_matches_monolithic() {
+    fn slab_rendering_matches_acquire() {
+        // The streaming contract: every scheduled slice rendered from the
+        // periodic x-slab holding it equals the same slice of `acquire`.
         let v = test_volume();
+        let (nx, ny, nz) = v.dims();
         let cfg = ImagingConfig {
             slice_voxels: 3,
             ..Default::default()
         };
-        let (mono, mono_truth) = acquire(&v, &cfg);
-        // Tile widths that divide, straddle and exceed the die, including
-        // tiles narrower than the slice step (slabs with no slice).
-        for tile in [1usize, 2, 3, 5, 7, 19, 20, 64] {
-            let (tiled, truth) = acquire_tiled(&v, &cfg, tile);
-            assert_eq!(tiled, mono, "tile width {tile}");
-            assert_eq!(truth, mono_truth, "tile width {tile}");
-        }
-    }
-
-    #[test]
-    fn tiled_recovery_matches_monolithic_recovery() {
-        use hifi_faults::FaultSpec;
-        let v = test_volume();
-        let cfg = ImagingConfig::default();
-        let make_plan = || {
-            FaultPlan::new(
-                FaultSpec::disabled()
-                    .with_seed(3)
-                    .with_rate(FaultKind::AcquireSlice, 0.5)
-                    .with_max_consecutive(2),
-            )
-        };
-        let clock = VirtualClock::new();
-        let mono = acquire_with_recovery(&v, &cfg, &make_plan(), &RetryPolicy::default(), &clock);
-        for tile in [4usize, 9, 32] {
-            let plan = make_plan();
-            let tiled = acquire_with_recovery_tiled_profiled(
-                &v,
-                &cfg,
-                &plan,
-                &RetryPolicy::default(),
-                &VirtualClock::new(),
-                tile,
-                None,
-            );
-            assert_eq!(tiled, mono, "tile width {tile}");
-            assert!(plan.tally().injected > 0, "plan must actually inject");
+        let (whole, truth) = acquire(&v, &cfg);
+        let plan = AcquirePlan::for_dims(nx, ny, nz, &cfg);
+        assert_eq!(plan.truth(), &truth);
+        // Slab widths that divide, straddle and exceed the die, including
+        // slabs narrower than the slice step (slabs with no slice).
+        for width in [1usize, 2, 3, 5, 7, 19, 20, 64] {
+            let mut slices = Vec::with_capacity(plan.len());
+            for x0 in (0..nx).step_by(width) {
+                let x1 = (x0 + width).min(nx);
+                let slab = v.periodic_slab_x(x0, x1);
+                slices.extend(
+                    plan.slices_in_slab(x0, x1)
+                        .map(|i| plan.render(&slab, x0, i, &cfg)),
+                );
+            }
+            assert_eq!(slices, whole.slices(), "slab width {width}");
         }
     }
 
@@ -1104,7 +977,7 @@ mod tests {
             dwell_us: 1e12, // noise sigma ≈ 0, rounds away in f32
             ..Default::default()
         };
-        let ideal = render_ideal(&v, &cfg);
+        let ideal = render_ideal(&v, &cfg, None);
         let (acquired, _) = acquire(&v, &cfg);
         assert_eq!(ideal.len(), acquired.len());
         assert_eq!(ideal.frame_margin_px(), acquired.frame_margin_px());
@@ -1239,7 +1112,8 @@ mod tests {
                 .with_max_consecutive(2),
         );
         let clock = VirtualClock::new();
-        let out = acquire_with_recovery(&v, &cfg, &plan, &RetryPolicy::default(), &clock);
+        let policy = RetryPolicy::default();
+        let out = acquire_with(&v, &cfg, Some((&plan, &policy, &clock)), None);
         let tally = plan.tally();
         assert!(tally.injected > 0, "plan must actually inject");
         assert_eq!(tally.degraded, 0);
@@ -1251,6 +1125,12 @@ mod tests {
             clock.elapsed() > std::time::Duration::ZERO,
             "backoff must be charged to the virtual clock"
         );
+        // Without a plan the merged loop renders directly: no degraded
+        // slices, and the same stack as `acquire`.
+        let direct = acquire_with(&v, &cfg, None, None);
+        assert!(direct.degraded_slices.is_empty());
+        assert_eq!(direct.stack, clean);
+        assert_eq!(direct.truth, clean_truth);
     }
 
     #[test]
@@ -1267,7 +1147,8 @@ mod tests {
                 .with_max_consecutive(5),
         );
         let clock = VirtualClock::new();
-        let out = acquire_with_recovery(&v, &cfg, &plan, &RetryPolicy::none(), &clock);
+        let policy = RetryPolicy::none();
+        let out = acquire_with(&v, &cfg, Some((&plan, &policy, &clock)), None);
         assert!(
             !out.degraded_slices.is_empty(),
             "seed 11 at 40% must degrade"

@@ -518,10 +518,19 @@ impl<'a> StackView<'a> {
         for _ in 0..n {
             let ny = r.u32("slice width")? as usize;
             let nz = r.u32("slice height")? as usize;
-            let n_px = ny.checked_mul(nz).ok_or(CodecError::Invalid {
-                what: "slice dimensions",
-            })?;
-            let bytes = r.take(n_px * 4, "slice pixels")?;
+            let n_bytes = ny
+                .checked_mul(nz)
+                .and_then(|n_px| n_px.checked_mul(4))
+                .ok_or(CodecError::Invalid {
+                    what: "slice dimensions",
+                })?;
+            // `reconstruct` crops the margin off both sides of each axis.
+            if margin.checked_mul(2).is_none_or(|m2| m2 > ny || m2 > nz) {
+                return Err(CodecError::Invalid {
+                    what: "stack frame margin",
+                });
+            }
+            let bytes = r.take(n_bytes, "slice pixels")?;
             slices.push(SliceEntry { ny, nz, bytes });
         }
         Ok(StackView {
@@ -1247,6 +1256,47 @@ mod tests {
             let mut bad = blob.clone();
             bad[i] ^= 0x41;
             let _ = decode_volume(&bad); // must not panic
+        }
+    }
+
+    /// A one-slice acquisition blob with a hand-written stack header.
+    fn acquisition_blob(margin: u64, ny: u32, nz: u32, pixels: usize) -> Vec<u8> {
+        let mut w = Writer::magic(STACK_MAGIC);
+        w.f64(5.0);
+        w.u64(1);
+        w.u8(detector_byte(DetectorKind::Bse));
+        w.u64(margin);
+        w.u32(1);
+        w.u32(ny);
+        w.u32(nz);
+        for _ in 0..pixels {
+            w.f32(0.0);
+        }
+        w.u32(0); // drift shifts
+        w.u32(0); // brightness offsets
+        w.u32(0); // degraded slices
+        w.into_bytes()
+    }
+
+    /// Headers that pass every length check but describe impossible
+    /// slices: a pixel byte count that overflows `usize`, and a frame
+    /// margin wider than the slice it frames. Both are structural damage,
+    /// never a panic or an absurd allocation.
+    #[test]
+    fn oversized_slice_headers_are_rejected() {
+        let ok = acquisition_blob(1, 4, 4, 16);
+        assert!(decode_acquisition(&ok).is_ok(), "control blob decodes");
+        let huge = acquisition_blob(0, 1 << 31, 1 << 31, 0);
+        let wide_margin = acquisition_blob(3, 4, 4, 16);
+        for bad in [huge, wide_margin] {
+            assert!(matches!(
+                decode_acquisition(&bad),
+                Err(CodecError::Invalid { .. })
+            ));
+            assert!(matches!(
+                view_acquisition(&bad),
+                Err(CodecError::Invalid { .. })
+            ));
         }
     }
 }

@@ -125,27 +125,10 @@ impl SaRegion {
 
     /// Voxelises the layout into a material volume at the spec's voxel size.
     pub fn voxelize(&self) -> MaterialVolume {
-        let (nx, _, _) = self.voxel_dims();
-        self.voxelize_slab(0, nx)
-    }
-
-    /// Voxelises only the half-open x-slab `[x0, x1)` of the voxel grid
-    /// (clamping `x1`), bit-identical to the same slab of a full
-    /// [`SaRegion::voxelize`]: every fill box is intersected with the slab
-    /// and the non-overwriting contact pass sees the same prior contents
-    /// voxel-for-voxel. Peak memory is O(slab), which is what lets a
-    /// full-die voxelisation stream instead of materializing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clamped slab is empty.
-    pub fn voxelize_slab(&self, x0: usize, x1: usize) -> MaterialVolume {
         let voxel = self.spec.voxel_nm;
         let stack = LayerStack::default_dram();
         let (nx, ny, nz) = self.voxel_dims();
-        let x1 = x1.min(nx);
-        assert!(x0 < x1, "empty voxelisation slab [{x0}, {x1})");
-        let mut vol = MaterialVolume::new(x1 - x0, ny, nz, voxel, stack.clone());
+        let mut vol = MaterialVolume::new(nx, ny, nz, voxel, stack.clone());
 
         let band = |layer: Layer| {
             let e = stack.extent(layer);
@@ -155,10 +138,6 @@ impl SaRegion {
             )
         };
         let vox = |nm: i64| ((nm as f64) / voxel).round().max(0.0) as usize;
-        // Global voxel x mapped into the slab: start clamps up to the slab
-        // origin, end is clamped by `fill_box` against the slab width.
-        let slab_x = |nm: i64| vox(nm).saturating_sub(x0);
-        let slab_x_end = |nm: i64| vox(nm).min(x1).saturating_sub(x0);
 
         // Fill order: base layers first; contacts last without overwriting
         // so plugs rest on gates instead of punching through them.
@@ -175,8 +154,8 @@ impl SaRegion {
             for e in self.layout.elements_on(layer) {
                 let r = e.rect();
                 vol.fill_box(
-                    slab_x(r.min().x),
-                    slab_x_end(r.max().x),
+                    vox(r.min().x),
+                    vox(r.max().x),
                     vox(r.min().y),
                     vox(r.max().y),
                     z0,
@@ -192,8 +171,8 @@ impl SaRegion {
         for e in self.layout.elements_on(Layer::Contact) {
             let r = e.rect();
             vol.fill_box(
-                slab_x(r.min().x),
-                slab_x_end(r.max().x),
+                vox(r.min().x),
+                vox(r.max().x),
                 vox(r.min().y),
                 vox(r.max().y),
                 z0,
@@ -201,24 +180,6 @@ impl SaRegion {
                 Material::Contact,
                 false,
             );
-        }
-        vol
-    }
-
-    /// [`SaRegion::voxelize`] assembled slab-by-slab in tiles of `tile_x`
-    /// voxel columns — bit-identical to the monolithic voxelisation (the
-    /// tiled-vs-monolithic equivalence suite pins this), with each slab
-    /// produced independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_x` is zero.
-    pub fn voxelize_tiled(&self, tile_x: usize) -> MaterialVolume {
-        let (nx, ny, nz) = self.voxel_dims();
-        let stack = LayerStack::default_dram();
-        let mut vol = MaterialVolume::new(nx, ny, nz, self.spec.voxel_nm, stack);
-        for (x0, x1) in crate::material::tile_ranges_x(nx, tile_x) {
-            vol.write_slab_x(x0, &self.voxelize_slab(x0, x1));
         }
         vol
     }
@@ -515,30 +476,6 @@ mod tests {
         }
         // Mostly oxide, as in a real chip cross-section.
         assert!(vol.fill_fraction() < 0.5);
-    }
-
-    #[test]
-    fn slab_voxelisation_matches_monolithic() {
-        let spec = SaRegionSpec::new(SaTopologyKind::OffsetCancellation)
-            .with_pairs(2)
-            .with_mat_strip(true);
-        let region = generate_region(&spec);
-        let full = region.voxelize();
-        let (nx, ny, _) = region.voxel_dims();
-        assert_eq!(full.dims(), region.voxel_dims());
-        // Every slab of several tile widths is bit-identical to the crop of
-        // the monolithic voxelisation — including tiles cutting through
-        // cells, the MAT strip and the contact plugs.
-        for tile in [17usize, 64, nx / 2, nx] {
-            for (x0, x1) in crate::material::tile_ranges_x(nx, tile) {
-                assert_eq!(
-                    region.voxelize_slab(x0, x1),
-                    full.crop(x0, x1, 0, ny),
-                    "slab [{x0}, {x1}) of tile {tile}"
-                );
-            }
-            assert_eq!(region.voxelize_tiled(tile), full, "tiled assembly {tile}");
-        }
     }
 
     #[test]

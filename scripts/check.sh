@@ -3,7 +3,8 @@
 # regen-output drift.
 #
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --no-drift   # lint only: skip tests + regen drift
+#   scripts/check.sh --no-drift   # lint only (fmt, clippy, doc links): skip
+#                                 # tests + regen drift
 #   scripts/check.sh --drift-only # regen/store drift only: skip lint + tests
 #                                 # (CI runs lint and tests as separate jobs)
 #
@@ -47,6 +48,10 @@ if [[ "$run_lint" -eq 1 ]]; then
 
     echo "==> cargo clippy --workspace -- -D warnings"
     cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+
+    echo "==> cargo doc (broken intra-doc links are errors)"
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+        cargo doc --workspace --no-deps --offline --locked
 fi
 
 if [[ "$run_tests" -eq 1 ]]; then

@@ -7,7 +7,8 @@
 #   scripts/ci.sh <job> [...]   # run specific jobs
 #
 # Jobs:
-#   lint          cargo fmt --check + clippy -D warnings
+#   lint          cargo fmt --check + clippy -D warnings + rustdoc
+#                 broken-intra-doc-link gate (cargo doc)
 #   test          tier-1 test suite at 1 thread and at available_parallelism
 #   regen-drift   regen snapshot drift + artifact-store cold/warm/gc round
 #                 trip (scripts/check.sh --drift-only)
