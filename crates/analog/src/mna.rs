@@ -9,6 +9,9 @@
 //! unconditional stability (20× coarser steps at the same fidelity), exact
 //! KCL at every solution point (the property tests pin the residual), and
 //! typed diagnostics when the latch's positive feedback defeats convergence.
+//! Each Newton iteration's linear system is solved by a sparse LU planned
+//! once per run from the circuit's stamp pattern; it returns the bits of
+//! the dense partial-pivot elimination and allocates nothing.
 //!
 //! The engine is driven by the same [`Stimulus`] schedules as the legacy
 //! solver and accepts any [`hifi_circuit::Netlist`] — including netlists
@@ -17,7 +20,7 @@
 
 use crate::model::MosfetModel;
 use crate::sim::{SimError, Stimulus, Waveform, Waveforms};
-use crate::stamp::{MnaSystem, NodeRef};
+use crate::stamp::MnaSystem;
 use hifi_circuit::{Device, Netlist};
 use hifi_units::{Femtofarads, Volts};
 use std::collections::HashMap;
@@ -277,8 +280,10 @@ impl MnaTransient {
     /// has no usable pivot.
     pub fn run(&self, circuit: &MnaCircuit, stimulus: &Stimulus) -> Result<MnaRun, SimError> {
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if !positive(self.dt) || !positive(self.t_end) || !positive(self.dt_sample) {
-            return Err(SimError::InvalidTimestep(self.dt));
+        for v in [self.dt, self.t_end, self.dt_sample] {
+            if !positive(v) {
+                return Err(SimError::InvalidTimestep(v));
+            }
         }
         let n_nodes = circuit.node_names.len();
 
@@ -321,21 +326,23 @@ impl MnaTransient {
 
         let steps = (self.t_end / self.dt).ceil() as usize;
         let sample_every = (self.dt_sample / self.dt).round().max(1.0) as usize;
-        let mut traces: HashMap<String, Vec<f64>> = circuit
-            .node_names
-            .iter()
-            .map(|nm| (nm.clone(), Vec::with_capacity(steps / sample_every + 2)))
+        let mut traces: Vec<Vec<f64>> = (0..n_nodes)
+            .map(|_| Vec::with_capacity(steps / sample_every + 2))
             .collect();
 
         let mut stats = SolveStats::default();
         let mut sys = MnaSystem::new(n);
+        let slots = Slots::new(circuit, &sources, &mut sys);
+        let mut dx = vec![0.0f64; n];
         let mut residual = vec![0.0f64; n];
         let mut v_prev = x[..n_nodes].to_vec();
+        // Source values at the step being solved (one per source branch).
+        let mut drive = vec![0.0f64; sources.len()];
 
         for step in 0..=steps {
             if step % sample_every == 0 {
-                for (i, nm) in circuit.node_names.iter().enumerate() {
-                    traces.get_mut(nm).expect("trace").push(x[i]);
+                for (trace, &v) in traces.iter_mut().zip(&x[..n_nodes]) {
+                    trace.push(v);
                 }
             }
             if step == steps {
@@ -343,16 +350,21 @@ impl MnaTransient {
             }
             let t_next = (step + 1) as f64 * self.dt;
             v_prev.copy_from_slice(&x[..n_nodes]);
+            for (v, &(_, wf)) in drive.iter_mut().zip(&sources) {
+                *v = wf.value(t_next);
+            }
 
             let mut converged = false;
             let mut worst_dv = f64::INFINITY;
             let mut iters = 0usize;
             while iters < self.max_newton {
                 iters += 1;
-                self.assemble(circuit, &sources, &v_prev, &x, t_next, &mut sys, None);
-                let Some(dx) = sys.solve() else {
+                self.assemble(
+                    circuit, &slots, &sources, &drive, &v_prev, &x, &mut sys, None,
+                );
+                if !sys.solve_into(&mut dx) {
                     return Err(SimError::SingularSystem { time_s: t_next });
-                };
+                }
                 worst_dv = dx[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
                 let scale = if worst_dv > self.damping_v {
                     self.damping_v / worst_dv
@@ -381,10 +393,11 @@ impl MnaTransient {
             // KCL audit at the accepted point: residual-only pass.
             self.assemble(
                 circuit,
+                &slots,
                 &sources,
+                &drive,
                 &v_prev,
                 &x,
-                t_next,
                 &mut sys,
                 Some(&mut residual),
             );
@@ -397,31 +410,33 @@ impl MnaTransient {
         Ok(MnaRun {
             waveforms: Waveforms {
                 dt_sample: self.dt_sample,
-                traces,
+                traces: circuit.node_names.iter().cloned().zip(traces).collect(),
             },
             stats,
         })
     }
 
-    /// Assembles the Newton system at the guess `x`: Jacobian into `sys.a`
-    /// and `−residual` into `sys.b`, so `solve()` yields the update `Δx`.
+    /// Assembles the Newton system at the guess `x`, with `drive[k]` the
+    /// value of source `k` at the step being solved: Jacobian into `sys.a`
+    /// and `−residual` into `sys.b`, so solving yields the update `Δx`.
     /// With `residual_out` set, only the residual vector is produced (used
-    /// for the post-convergence KCL audit).
+    /// for the post-convergence KCL audit) and `sys` is left untouched.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         circuit: &MnaCircuit,
+        slots: &Slots,
         sources: &[(usize, &Waveform)],
+        drive: &[f64],
         v_prev: &[f64],
         x: &[f64],
-        t_next: f64,
         sys: &mut MnaSystem,
         mut residual_out: Option<&mut Vec<f64>>,
     ) {
         let n_nodes = circuit.node_names.len();
-        sys.clear();
-        if let Some(r) = residual_out.as_deref_mut() {
-            r.iter_mut().for_each(|v| *v = 0.0);
+        match residual_out.as_deref_mut() {
+            Some(r) => r.iter_mut().for_each(|v| *v = 0.0),
+            None => sys.clear(),
         }
         let jacobian = residual_out.is_none();
         // `leaving(i)` accumulates current leaving node i; the Newton rhs is
@@ -430,27 +445,27 @@ impl MnaTransient {
             ($node:expr, $amps:expr) => {
                 match residual_out.as_deref_mut() {
                     Some(r) => r[$node] += $amps,
-                    None => sys.stamp_rhs(NodeRef::Node($node), -($amps)),
+                    None => sys.stamp_rhs($node, -($amps)),
                 }
             };
         }
 
         let geq_par = circuit.parasitic_f / self.dt;
-        for i in 0..n_nodes {
+        for (i, &diag) in slots.diagonal.iter().enumerate() {
             let g = circuit.gmin_siemens + geq_par;
             if jacobian {
-                sys.stamp_conductance(NodeRef::Node(i), NodeRef::Ground, g);
+                sys.add(diag, g);
             }
             leave!(
                 i,
                 circuit.gmin_siemens * x[i] + geq_par * (x[i] - v_prev[i])
             );
         }
-        for e in &circuit.elements {
+        for (e, slots) in circuit.elements.iter().zip(&slots.elements) {
             match e {
                 Element::Resistor { a, b, siemens } => {
                     if jacobian {
-                        sys.stamp_conductance(NodeRef::Node(*a), NodeRef::Node(*b), *siemens);
+                        sys.stamp_conductance(conductance(slots), *siemens);
                     }
                     let i = siemens * (x[*a] - x[*b]);
                     leave!(*a, i);
@@ -459,7 +474,7 @@ impl MnaTransient {
                 Element::Capacitor { a, b, farads } => {
                     let geq = farads / self.dt;
                     if jacobian {
-                        sys.stamp_conductance(NodeRef::Node(*a), NodeRef::Node(*b), geq);
+                        sys.stamp_conductance(conductance(slots), geq);
                     }
                     let i = geq * ((x[*a] - x[*b]) - (v_prev[*a] - v_prev[*b]));
                     leave!(*a, i);
@@ -483,39 +498,90 @@ impl MnaTransient {
                                 ))
                                 / (2.0 * h)
                         };
-                        let (d, s, g) = (
-                            NodeRef::Node(m.drain),
-                            NodeRef::Node(m.source),
-                            NodeRef::Node(m.gate),
-                        );
-                        for (col, dgdv) in [
-                            (g, di(vg + h, vs, vd)),
-                            (s, di(vg, vs + h, vd)),
-                            (d, di(vg, vs, vd + h)),
-                        ] {
-                            sys.stamp_jacobian(d, col, dgdv);
-                            sys.stamp_jacobian(s, col, -dgdv);
+                        let derivatives =
+                            [di(vg + h, vs, vd), di(vg, vs + h, vd), di(vg, vs, vd + h)];
+                        for (pair, dgdv) in slots.chunks_exact(2).zip(derivatives) {
+                            sys.add(pair[0], dgdv);
+                            sys.add(pair[1], -dgdv);
                         }
                     }
                 }
             }
         }
-        let n_nodes_base = n_nodes;
-        for (k, &(idx, wf)) in sources.iter().enumerate() {
-            let branch = n_nodes_base + k;
+        for (k, ((&(idx, _), &v_src), &[out, pin])) in
+            sources.iter().zip(drive).zip(&slots.branches).enumerate()
+        {
+            let branch = n_nodes + k;
             let i_br = x[branch];
             // Branch current leaves the driven node's KCL row; the branch
             // row pins the node voltage to the waveform.
             leave!(idx, i_br);
             match residual_out.as_deref_mut() {
-                Some(r) => r[branch] = x[idx] - wf.value(t_next),
+                Some(r) => r[branch] = x[idx] - v_src,
                 None => {
-                    sys.stamp_branch(branch, NodeRef::Node(idx), NodeRef::Ground);
-                    sys.stamp_rhs(NodeRef::Node(branch), -(x[idx] - wf.value(t_next)));
+                    sys.add(out, 1.0);
+                    sys.add(pin, 1.0);
+                    sys.stamp_rhs(branch, -(x[idx] - v_src));
                 }
             }
         }
     }
+}
+
+/// Storage slots of every Jacobian stamp of one circuit, made once per run
+/// before the first assembly (which records the matrix pattern the solve is
+/// planned over).
+struct Slots {
+    /// Each node's diagonal: its gmin and parasitic conductance.
+    diagonal: Vec<usize>,
+    /// Per element, in [`MnaCircuit`] order: a resistor's or capacitor's
+    /// conductance slots in the first four places, or a MOSFET's drain- and
+    /// source-row entries of its gate, source and drain columns.
+    elements: Vec<[usize; 6]>,
+    /// Per source: (driven node, branch) — the branch current leaving the
+    /// node's KCL row — and (branch, driven node), the pinning row.
+    branches: Vec<[usize; 2]>,
+}
+
+impl Slots {
+    fn new(circuit: &MnaCircuit, sources: &[(usize, &Waveform)], sys: &mut MnaSystem) -> Self {
+        let n_nodes = circuit.node_names.len();
+        let diagonal = (0..n_nodes).map(|i| sys.slot(i, i)).collect();
+        let elements = circuit
+            .elements
+            .iter()
+            .map(|e| match e {
+                Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => {
+                    let [aa, ab, bb, ba] = sys.conductance_slots(*a, *b);
+                    [aa, ab, bb, ba, 0, 0]
+                }
+                Element::Mosfet(m) => {
+                    let (d, s) = (m.drain, m.source);
+                    let mut slots = [0; 6];
+                    for (pair, col) in slots.chunks_exact_mut(2).zip([m.gate, s, d]) {
+                        pair[0] = sys.slot(d, col);
+                        pair[1] = sys.slot(s, col);
+                    }
+                    slots
+                }
+            })
+            .collect();
+        let branches = sources
+            .iter()
+            .enumerate()
+            .map(|(k, &(idx, _))| [sys.slot(idx, n_nodes + k), sys.slot(n_nodes + k, idx)])
+            .collect();
+        Self {
+            diagonal,
+            elements,
+            branches,
+        }
+    }
+}
+
+/// A two-terminal element's conductance slots.
+fn conductance(slots: &[usize; 6]) -> [usize; 4] {
+    [slots[0], slots[1], slots[2], slots[3]]
 }
 
 #[cfg(test)]
@@ -612,14 +678,20 @@ mod tests {
     }
 
     #[test]
-    fn invalid_timestep_is_rejected() {
+    fn invalid_timestep_names_the_offending_value() {
         let c = MnaCircuit::new();
         let stim = Stimulus::new();
-        let mut tr = MnaTransient::new(1e-9);
-        tr.dt = 0.0;
-        assert!(matches!(
-            tr.run(&c, &stim),
-            Err(SimError::InvalidTimestep(_))
-        ));
+        for bad in [0.0, -1e-12, f64::NAN] {
+            let fields: [fn(&mut MnaTransient) -> &mut f64; 3] =
+                [|t| &mut t.dt, |t| &mut t.t_end, |t| &mut t.dt_sample];
+            for field in fields {
+                let mut tr = MnaTransient::new(1e-9);
+                *field(&mut tr) = bad;
+                match tr.run(&c, &stim) {
+                    Err(SimError::InvalidTimestep(v)) => assert_eq!(v.to_bits(), bad.to_bits()),
+                    other => panic!("{bad}: {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -108,7 +108,9 @@ pub struct McReport {
     /// Smallest |offset| (mV) among failing samples, if any — the sweep's
     /// empirical tolerance edge.
     pub smallest_failing_offset_mv: Option<f64>,
-    /// Accumulated solver work across all activations.
+    /// Solver work over every activation of the sweep: `steps` and
+    /// `newton_iterations` are totals, `max_newton_iterations` and
+    /// `worst_kcl_residual_amps` worst cases.
     pub solve: SolveStats,
 }
 
@@ -129,7 +131,10 @@ impl McReport {
     }
 }
 
-fn run_sample(cfg: &McConfig, index: usize) -> McSample {
+/// Runs sample `index` (both stored values) and returns it with the solver
+/// work of its two activations: `steps` and `newton_iterations` summed, the
+/// Newton maximum and the KCL residual as worst cases.
+fn run_sample(cfg: &McConfig, index: usize) -> (McSample, SolveStats) {
     let seed = sample_seed(cfg.seed, index as u64);
     let mut rng = StdRng::seed_from_u64(seed);
     let offset_v = gaussian(&mut rng) * cfg.sigma_mv * 1e-3 * std::f64::consts::SQRT_2;
@@ -137,29 +142,38 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
     activation.nsa_vt_offset = offset_v;
 
     let mut correct = true;
-    let mut max_newton = 0usize;
-    let mut worst_kcl = 0.0f64;
+    let mut work = SolveStats::default();
     let mut split_ps = None;
     for stored in [false, true] {
         let rep = try_simulate(cfg.topology, &activation, stored).expect("valid MC testbench");
         correct &= rep.correct;
         if let Some(stats) = rep.solve_stats {
-            max_newton = max_newton.max(stats.max_newton_iterations);
-            worst_kcl = worst_kcl.max(stats.worst_kcl_residual_amps);
+            accumulate(&mut work, &stats);
         }
         if stored {
             split_ps = rep.latch_split_time.map(|t| t * 1e12);
         }
     }
-    McSample {
+    let sample = McSample {
         index,
         seed,
         offset_mv: offset_v * 1e3,
         correct,
-        max_newton_iterations: max_newton,
-        worst_kcl_residual_amps: worst_kcl,
+        max_newton_iterations: work.max_newton_iterations,
+        worst_kcl_residual_amps: work.worst_kcl_residual_amps,
         split_ps,
-    }
+    };
+    (sample, work)
+}
+
+/// Folds `more` into `total`: work summed, worst cases maximised.
+fn accumulate(total: &mut SolveStats, more: &SolveStats) {
+    total.steps += more.steps;
+    total.newton_iterations += more.newton_iterations;
+    total.max_newton_iterations = total.max_newton_iterations.max(more.max_newton_iterations);
+    total.worst_kcl_residual_amps = total
+        .worst_kcl_residual_amps
+        .max(more.worst_kcl_residual_amps);
 }
 
 /// Runs a Monte-Carlo offset-tolerance sweep.
@@ -174,13 +188,16 @@ fn run_sample(cfg: &McConfig, index: usize) -> McSample {
 pub fn run_sweep(config: &McConfig) -> McReport {
     assert!(config.samples > 0, "at least one sample required");
     let indices: Vec<usize> = (0..config.samples).collect();
-    let samples = rayon::par_map(&indices, |&i| run_sample(config, i));
+    let (samples, work): (Vec<McSample>, Vec<SolveStats>) =
+        rayon::par_map(&indices, |&i| run_sample(config, i))
+            .into_iter()
+            .unzip();
 
     // Sequential fold over the ordered samples keeps aggregates exact.
     let mut failures = 0usize;
     let mut smallest_failing: Option<f64> = None;
     let mut solve = SolveStats::default();
-    for s in &samples {
+    for (s, w) in samples.iter().zip(&work) {
         if !s.correct {
             failures += 1;
             let mag = s.offset_mv.abs();
@@ -189,10 +206,7 @@ pub fn run_sweep(config: &McConfig) -> McReport {
                 _ => mag,
             });
         }
-        solve.newton_iterations += s.max_newton_iterations;
-        solve.max_newton_iterations = solve.max_newton_iterations.max(s.max_newton_iterations);
-        solve.worst_kcl_residual_amps =
-            solve.worst_kcl_residual_amps.max(s.worst_kcl_residual_amps);
+        accumulate(&mut solve, w);
     }
     let yield_fraction = (config.samples - failures) as f64 / config.samples as f64;
     McReport {
@@ -226,6 +240,27 @@ mod tests {
         assert_eq!(rep.yield_fraction, 1.0);
         assert_eq!(rep.smallest_failing_offset_mv, None);
         assert!(rep.solve.max_newton_iterations >= 1);
+    }
+
+    #[test]
+    fn report_solve_stats_total_every_activation() {
+        let cfg = small_cfg(SaTopologyKind::Classic, 0.0);
+        let rep = run_sweep(&cfg);
+        // 4 samples × 2 stored values × 5601 fixed 5 ps steps.
+        assert_eq!(rep.solve.steps, 8 * 5601);
+        let mut newton = 0;
+        for s in &rep.samples {
+            let mut activation = cfg.base.clone();
+            activation.nsa_vt_offset = s.offset_mv * 1e-3;
+            for stored in [false, true] {
+                let stats = try_simulate(cfg.topology, &activation, stored)
+                    .expect("valid testbench")
+                    .solve_stats
+                    .expect("MNA engine reports stats");
+                newton += stats.newton_iterations;
+            }
+        }
+        assert_eq!(rep.solve.newton_iterations, newton);
     }
 
     #[test]

@@ -12,7 +12,8 @@ pub enum SimError {
     UnknownNet(String),
     /// A threshold-offset override referenced a device that does not exist.
     UnknownDevice(String),
-    /// The timestep or duration was not strictly positive.
+    /// The timestep, duration or sampling interval was not strictly
+    /// positive; carries the offending value.
     InvalidTimestep(f64),
     /// A piecewise-linear waveform had unsorted time points.
     UnsortedWaveform(String),
@@ -40,7 +41,10 @@ impl core::fmt::Display for SimError {
         match self {
             SimError::UnknownNet(n) => write!(f, "unknown net `{n}`"),
             SimError::UnknownDevice(d) => write!(f, "unknown device `{d}`"),
-            SimError::InvalidTimestep(dt) => write!(f, "invalid timestep {dt}"),
+            SimError::InvalidTimestep(v) => write!(
+                f,
+                "timestep, duration and sampling interval must be positive, got {v}"
+            ),
             SimError::UnsortedWaveform(n) => write!(f, "waveform for `{n}` is not time-sorted"),
             SimError::NoConvergence {
                 time_s,
@@ -419,8 +423,10 @@ impl Transient {
     /// conditions naming unknown nets.
     pub fn run(&self, circuit: &AnalogCircuit, stimulus: &Stimulus) -> Result<Waveforms, SimError> {
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if !positive(self.dt) || !positive(self.t_end) || !positive(self.dt_sample) {
-            return Err(SimError::InvalidTimestep(self.dt));
+        for v in [self.dt, self.t_end, self.dt_sample] {
+            if !positive(v) {
+                return Err(SimError::InvalidTimestep(v));
+            }
         }
         let n = circuit.net_names.len();
         // Resolve driven nets.
@@ -640,6 +646,24 @@ mod tests {
         let first = lines.next().unwrap();
         assert!(first.starts_with("0.0000,0.7"), "{first}");
         assert!(csv.lines().count() > 10);
+    }
+
+    #[test]
+    fn invalid_timestep_names_the_offending_value() {
+        let circuit = AnalogCircuit::from_netlist(&Netlist::new("x"));
+        let stim = Stimulus::new();
+        for bad in [0.0, -1e-12, f64::NAN] {
+            let fields: [fn(&mut Transient) -> &mut f64; 3] =
+                [|t| &mut t.dt, |t| &mut t.t_end, |t| &mut t.dt_sample];
+            for field in fields {
+                let mut tr = Transient::new(1e-9);
+                *field(&mut tr) = bad;
+                match tr.run(&circuit, &stim) {
+                    Err(SimError::InvalidTimestep(v)) => assert_eq!(v.to_bits(), bad.to_bits()),
+                    other => panic!("{bad}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

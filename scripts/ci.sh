@@ -27,7 +27,8 @@
 #                 schedules + extracted-netlist verdicts + a reduced
 #                 Monte-Carlo sweep; honours HIFI_MNA_SEED (one seed, as
 #                 the CI matrix does) and HIFI_MNA_SAMPLES, else sweeps
-#                 the default 2-seed matrix
+#                 the default 2-seed matrix; each seed runs again at
+#                 --threads 1 and the two reports must be byte-identical
 #   scale-smoke   16x-scale streaming sweep (scale_sweep bench capped via
 #                 SCALE_SWEEP_MAX=16) under the counting allocator; proves
 #                 the tiled path's O(tile) peak memory without the full
@@ -165,6 +166,14 @@ job_mna_oracle() {
         cargo run --release --offline --locked --bin mna_oracle -- \
             --seed "$seed" --samples "$MNA_SAMPLES" \
             > "$ARTIFACT_DIR/mna_oracle_seed_${seed}.json"
+        # --threads changes wall time, never bytes: the single-threaded
+        # report must match the default-thread one byte for byte.
+        echo "==> MNA waveform oracle @ seed ${seed}, 1 thread (must be byte-identical)"
+        cargo run --release --offline --locked --bin mna_oracle -- \
+            --seed "$seed" --samples "$MNA_SAMPLES" --threads 1 \
+            > "$ARTIFACT_DIR/mna_oracle_seed_${seed}_t1.json"
+        cmp "$ARTIFACT_DIR/mna_oracle_seed_${seed}.json" \
+            "$ARTIFACT_DIR/mna_oracle_seed_${seed}_t1.json"
     done
 }
 
